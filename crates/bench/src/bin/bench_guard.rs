@@ -11,54 +11,39 @@
 //! `BENCH_TRAJECTORY`), so the perf history accumulates across PRs
 //! instead of living in a single overwritten snapshot.
 //!
-//! The parser is deliberately line-based (one entry object per line, the
-//! shape our criterion shim writes) so the guard needs no JSON dependency.
-//! Blank and truncated lines — the torn tail a killed bench run leaves in
+//! Entries are read one line at a time (one entry object per line, the
+//! shape our criterion shim writes): each line, with its trailing `,`
+//! stripped, goes through the workspace JSON reader
+//! ([`vpdift_obs::json`]). Blank lines are ignored, and lines that do not
+//! parse — the torn tail a killed bench run leaves in
 //! `BENCH_trajectory.jsonl` or a half-written results file — are skipped
 //! with a warning rather than tripping the guard.
 
 use std::process::ExitCode;
 
 use vpdift_bench::trajectory;
+use vpdift_obs::json::{self, Value};
 
-/// Extracts `"key": value` (a JSON number or string) from an entry line.
-fn field<'a>(line: &'a str, key: &str) -> Option<&'a str> {
-    let pat = format!("\"{key}\": ");
-    let start = line.find(&pat)? + pat.len();
-    let rest = &line[start..];
-    let end = rest.find([',', '}'])?;
-    Some(rest[..end].trim().trim_matches('"'))
-}
-
-/// A complete entry line: starts an object and closes it. A killed writer
-/// leaves a final line that opens `{` but never reaches `}` — that torn
-/// tail (and any blank line) must be tolerated, not parsed as an entry.
-fn is_complete_entry(line: &str) -> bool {
-    let t = line.trim();
-    t.starts_with('{') && (t.ends_with('}') || t.ends_with("},"))
-}
-
-/// Collects the complete entry lines of a `taintvp-bench/v1` file,
-/// warning (once per line) about truncated leftovers instead of erroring.
-fn collect_entries(text: &str) -> Vec<String> {
+/// Collects the entry objects of a `taintvp-bench/v1` file, warning
+/// (once per line) about truncated leftovers instead of erroring.
+fn collect_entries(text: &str) -> Vec<Value> {
     let mut entries = Vec::new();
     for line in text.lines() {
         let t = line.trim();
-        if t.is_empty() || !t.starts_with('{') {
+        if !t.starts_with('{') {
             continue;
         }
-        if is_complete_entry(line) {
-            entries.push(line.to_owned());
-        } else {
-            eprintln!("bench_guard: warning: skipping truncated line `{:.60}…`", t);
+        match json::parse(t.strip_suffix(',').unwrap_or(t)) {
+            Ok(entry) => entries.push(entry),
+            Err(_) => eprintln!("bench_guard: warning: skipping truncated line `{:.60}…`", t),
         }
     }
     entries
 }
 
-fn median_of(entries: &[String], name: &str) -> Option<f64> {
-    let line = entries.iter().find(|l| field(l, "name") == Some(name))?;
-    field(line, "median")?.parse().ok()
+fn median_of(entries: &[Value], name: &str) -> Option<f64> {
+    let entry = entries.iter().find(|e| e.get("name").and_then(Value::as_str) == Some(name))?;
+    entry.get("median")?.as_f64()
 }
 
 fn main() -> ExitCode {
@@ -153,13 +138,5 @@ mod tests {
         assert_eq!(median_of(&entries, "vp_plain"), Some(10.0));
         assert_eq!(median_of(&entries, "vp_plain_cached"), Some(5.0));
         assert_eq!(median_of(&entries, "torn"), None);
-    }
-
-    #[test]
-    fn field_extraction() {
-        let line = r#"    {"group": "iss_step_rate", "name": "vp_plain", "unit": "ns/iter", "median": 1234.500, "mean": 1300.000, "min": 1200.000, "max": 1500.000, "samples": 20, "throughput_elems": 90009},"#;
-        assert_eq!(field(line, "name"), Some("vp_plain"));
-        assert_eq!(field(line, "median"), Some("1234.500"));
-        assert_eq!(field(line, "samples"), Some("20"));
     }
 }

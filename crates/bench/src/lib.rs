@@ -298,7 +298,7 @@ mod tests {
         ];
         let line = trajectory::render_line("bench_guard", 0, &entries);
         assert!(!line.contains('\n'), "one line per run: {line}");
-        vpdift_obs::export::validate_json(&line).expect("trajectory line parses");
+        vpdift_obs::json::parse(&line).expect("trajectory line parses");
         assert!(line.contains("\"schema\": \"taintvp-bench/v1\""));
         assert!(line.contains("\"value\": 1152989"));
         assert!(line.contains("\"value\": 123.456"));

@@ -17,6 +17,7 @@ use vpdift_faults::campaign::ReferenceInfo;
 use vpdift_faults::{
     campaign_prelude, random_run, run_json, scenario_json, CampaignConfig, CampaignPrelude, Outcome,
 };
+use vpdift_obs::json::{self, Value};
 
 use crate::executor::{Fleet, FleetConfig};
 use crate::job::{Job, JobOutput, JobResult, JobStatus};
@@ -41,32 +42,29 @@ pub struct FleetCampaign {
 }
 
 impl FleetCampaign {
-    /// Counts classifications of `outcome` for `scenario` by scanning
-    /// the rendered report — the fleet keeps results as journal-ready
-    /// strings, and the fragments are this crate's own deterministic
-    /// renderer output, so a substring scan is exact.
+    /// Counts classifications of `outcome` for `scenario` in the
+    /// rendered report (see [`count_scenario_outcome`]).
     pub fn scenario_outcome_count(&self, scenario: &str, outcome: &str) -> u64 {
         count_scenario_outcome(&self.json, scenario, outcome)
     }
 }
 
 /// Counts scenario objects in `json` (rendered by
-/// [`vpdift_faults::scenario_json`]) naming `scenario` with `outcome`.
+/// [`vpdift_faults::scenario_json`]) naming `scenario` with `outcome`,
+/// wherever they sit in the report; a report that does not parse counts
+/// none.
 pub fn count_scenario_outcome(json: &str, scenario: &str, outcome: &str) -> u64 {
-    let open = format!("{{\"scenario\":\"{scenario}\",");
-    let want = format!("\"outcome\":\"{outcome}\"");
-    let mut count = 0u64;
-    let mut rest = json;
-    while let Some(at) = rest.find(&open) {
-        rest = &rest[at + open.len()..];
-        // The outcome key sits inside this scenario object, before its
-        // faults array (fixed field order from the renderer).
-        let end = rest.find("\"faults\":").unwrap_or(rest.len());
-        if rest[..end].contains(&want) {
-            count += 1;
-        }
+    fn walk(v: &Value, scenario: &str, outcome: &str) -> u64 {
+        let here = v.get("scenario").and_then(Value::as_str) == Some(scenario)
+            && v.get("outcome").and_then(Value::as_str) == Some(outcome);
+        let nested: u64 = match v {
+            Value::Arr(items) => items.iter().map(|c| walk(c, scenario, outcome)).sum(),
+            Value::Obj(fields) => fields.iter().map(|(_, c)| walk(c, scenario, outcome)).sum(),
+            _ => 0,
+        };
+        u64::from(here) + nested
     }
-    count
+    json::parse(json).map_or(0, |v| walk(&v, scenario, outcome))
 }
 
 /// Runs `config` as a parallel campaign on `fleet_config.workers`
@@ -214,6 +212,15 @@ mod tests {
                 fleet.json, serial,
                 "{workers}-worker campaign must render the serial bytes"
             );
+            // Every classified scenario in the report is counted once.
+            for o in Outcome::ALL {
+                let counted: u64 = fleet
+                    .references
+                    .iter()
+                    .map(|r| fleet.scenario_outcome_count(r.scenario, o.label()))
+                    .sum();
+                assert_eq!(counted, fleet.summary[o.index()], "outcome {}", o.label());
+            }
         }
     }
 }

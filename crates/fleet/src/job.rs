@@ -124,7 +124,7 @@ impl core::fmt::Debug for Job {
 }
 
 /// The terminal record of one job, as journaled and aggregated.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct JobResult {
     /// The job's stable id.
     pub job_id: u64,

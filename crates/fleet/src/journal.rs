@@ -8,15 +8,17 @@
 //! it can, verifies the header matches the campaign being resumed, and
 //! hands back the completed results so the executor can skip them.
 //!
-//! Records are written by this module and parsed by this module, so the
-//! parser leans on the writer's fixed field order (`job`, `status`,
-//! `attempts`, `elapsed_us`, `counts`, `detail`, `payload` — payload
-//! last, because it is itself JSON and runs to the record's final
-//! brace). It is *not* a general JSON parser and does not need one.
+//! Records are written here with hand-rolled `format!`s (so journal
+//! bytes stay fixed) and read back through the workspace JSON reader,
+//! [`vpdift_obs::json`]: a line that does not parse as one JSON value is
+//! a torn tail. The payload is itself JSON and is kept as its raw text,
+//! because resume must reproduce it byte for byte.
 
 use std::fs::{File, OpenOptions};
-use std::io::{self, BufRead, BufReader, Write};
+use std::io::{self, Write};
 use std::path::Path;
+
+use vpdift_obs::json::{self, escape, Value};
 
 use crate::job::{JobResult, JobStatus};
 
@@ -46,198 +48,69 @@ impl JournalHeader {
     }
 
     fn parse(line: &str) -> Option<JournalHeader> {
-        let format: String = extract_str(line, "format")?;
-        if format != FORMAT {
+        let v = json::parse(line).ok()?;
+        if v.get("format")?.as_str()? != FORMAT {
             return None;
         }
         Some(JournalHeader {
-            suite: extract_str(line, "suite")?,
-            jobs: extract_u64(line, "jobs")?,
-            seed: extract_u64(line, "seed")?,
+            suite: v.get("suite")?.as_str()?.to_owned(),
+            jobs: v.get("jobs")?.as_u64()?,
+            seed: v.get("seed")?.as_u64()?,
         })
     }
 }
 
 /// Renders one result as its journal line (no trailing newline).
 pub fn render_record(r: &JobResult) -> String {
+    format!("{}{}}}", record_head(r), r.payload.as_deref().unwrap_or("null"))
+}
+
+/// Everything of `r`'s journal line before the payload's raw text. The
+/// payload goes last because it is itself JSON and runs to the record's
+/// final brace.
+fn record_head(r: &JobResult) -> String {
     let detail = match &r.detail {
         Some(d) => format!("\"{}\"", escape(d)),
         None => "null".to_string(),
     };
     let counts: Vec<String> = r.counts.iter().map(u64::to_string).collect();
-    let payload = r.payload.as_deref().unwrap_or("null");
     format!(
-        "{{\"job\":{},\"status\":\"{}\",\"attempts\":{},\"elapsed_us\":{},\"counts\":[{}],\"detail\":{},\"payload\":{}}}",
+        "{{\"job\":{},\"status\":\"{}\",\"attempts\":{},\"elapsed_us\":{},\"counts\":[{}],\"detail\":{},\"payload\":",
         r.job_id,
         r.status.label(),
         r.attempts,
         r.elapsed_us,
         counts.join(","),
         detail,
-        payload,
     )
 }
 
-/// `true` iff `line` is one structurally complete JSON object: tracking
-/// string/escape state and `{}`/`[]` depth, the outermost brace must
-/// close exactly at the final byte. Any proper prefix of a record leaves
-/// the outer brace open (or ends mid-string), so a torn tail that
-/// happens to stop at an *internal* `}` — e.g. the end of a nested
-/// payload object — is rejected rather than mistaken for a full record.
-fn record_is_complete(line: &str) -> bool {
-    let bytes = line.as_bytes();
-    if bytes.first() != Some(&b'{') {
-        return false;
-    }
-    let mut depth = 0usize;
-    let mut in_string = false;
-    let mut i = 0;
-    while i < bytes.len() {
-        let b = bytes[i];
-        if in_string {
-            match b {
-                b'\\' => i += 1,
-                b'"' => in_string = false,
-                _ => {}
-            }
-        } else {
-            match b {
-                b'"' => in_string = true,
-                b'{' | b'[' => depth += 1,
-                b'}' | b']' => {
-                    if depth == 0 {
-                        return false;
-                    }
-                    depth -= 1;
-                    if depth == 0 {
-                        // Outer object closed: complete only if this is
-                        // the last byte.
-                        return i == bytes.len() - 1;
-                    }
-                }
-                _ => {}
-            }
-        }
-        i += 1;
-    }
-    false
-}
-
 /// Parses one journal record line; `None` for torn or foreign lines.
+///
+/// Any proper prefix of a record leaves its outer brace open, so a torn
+/// tail never parses — not even one cut right after a nested payload's
+/// own closing brace. Beyond parsing, the line must be exactly what
+/// [`render_record`] writes for the fields it carries, which pins the
+/// payload's raw text and makes resume byte-faithful.
 pub fn parse_record(line: &str) -> Option<JobResult> {
     let line = line.trim_end();
-    if !line.starts_with("{\"job\":") || !record_is_complete(line) {
-        return None;
-    }
-    let job_id = extract_u64(line, "job")?;
-    let status = JobStatus::parse(&extract_str(line, "status")?)?;
-    let attempts = extract_u64(line, "attempts")? as u32;
-    let elapsed_us = extract_u64(line, "elapsed_us")?;
-    let counts = extract_u64_array(line, "counts")?;
-    let detail = match find_value(line, "detail")? {
-        v if v.starts_with("null") => None,
-        v if v.starts_with('"') => Some(unescape(&v[1..v.find_unescaped_quote()?])),
-        _ => return None,
+    let v = json::parse(line).ok()?;
+    let detail = match v.get("detail")? {
+        Value::Null => None,
+        d => Some(d.as_str()?.to_owned()),
     };
-    let payload_start = line.find("\"payload\":")? + "\"payload\":".len();
-    // The payload is the last field and is raw JSON: it runs to the
-    // record's closing brace.
-    let payload_raw = &line[payload_start..line.len() - 1];
-    let payload = if payload_raw == "null" { None } else { Some(payload_raw.to_string()) };
-    Some(JobResult { job_id, status, attempts, payload, counts, detail, elapsed_us })
-}
-
-trait FindUnescapedQuote {
-    fn find_unescaped_quote(&self) -> Option<usize>;
-}
-
-impl FindUnescapedQuote for str {
-    /// Index of the closing quote of a string value that starts at
-    /// byte 0 with the opening quote.
-    fn find_unescaped_quote(&self) -> Option<usize> {
-        let bytes = self.as_bytes();
-        let mut i = 1;
-        while i < bytes.len() {
-            match bytes[i] {
-                b'\\' => i += 2,
-                b'"' => return Some(i),
-                _ => i += 1,
-            }
-        }
-        None
-    }
-}
-
-fn find_value<'a>(line: &'a str, key: &str) -> Option<&'a str> {
-    let pat = format!("\"{key}\":");
-    let at = line.find(&pat)? + pat.len();
-    Some(&line[at..])
-}
-
-fn extract_u64(line: &str, key: &str) -> Option<u64> {
-    let v = find_value(line, key)?;
-    let digits: String = v.chars().take_while(|c| c.is_ascii_digit()).collect();
-    digits.parse().ok()
-}
-
-fn extract_str(line: &str, key: &str) -> Option<String> {
-    let v = find_value(line, key)?;
-    if !v.starts_with('"') {
-        return None;
-    }
-    Some(unescape(&v[1..v.find_unescaped_quote()?]))
-}
-
-fn extract_u64_array(line: &str, key: &str) -> Option<Vec<u64>> {
-    let v = find_value(line, key)?;
-    let inner = v.strip_prefix('[')?;
-    let end = inner.find(']')?;
-    let inner = &inner[..end];
-    if inner.trim().is_empty() {
-        return Some(Vec::new());
-    }
-    inner.split(',').map(|n| n.trim().parse().ok()).collect()
-}
-
-fn escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out
-}
-
-fn unescape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    let mut chars = s.chars();
-    while let Some(c) = chars.next() {
-        if c != '\\' {
-            out.push(c);
-            continue;
-        }
-        match chars.next() {
-            Some('n') => out.push('\n'),
-            Some('r') => out.push('\r'),
-            Some('t') => out.push('\t'),
-            Some('u') => {
-                let hex: String = chars.by_ref().take(4).collect();
-                if let Some(c) = u32::from_str_radix(&hex, 16).ok().and_then(char::from_u32) {
-                    out.push(c);
-                }
-            }
-            Some(other) => out.push(other),
-            None => {}
-        }
-    }
-    out
+    let mut r = JobResult {
+        job_id: v.get("job")?.as_u64()?,
+        status: JobStatus::parse(v.get("status")?.as_str()?)?,
+        attempts: v.get("attempts")?.as_u32()?,
+        payload: None,
+        counts: v.get("counts")?.as_arr()?.iter().map(Value::as_u64).collect::<Option<_>>()?,
+        detail,
+        elapsed_us: v.get("elapsed_us")?.as_u64()?,
+    };
+    let payload = line.strip_prefix(record_head(&r).as_str())?.strip_suffix('}')?;
+    r.payload = (payload != "null").then(|| payload.to_owned());
+    Some(r)
 }
 
 /// An append handle on a journal file.
@@ -265,13 +138,16 @@ impl Journal {
         path: &Path,
         expect: &JournalHeader,
     ) -> io::Result<(Journal, Vec<JobResult>)> {
-        let mut lines = Vec::new();
-        for line in BufReader::new(File::open(path)?).lines() {
-            lines.push(line?);
-        }
-        let header_line = lines
-            .first()
-            .ok_or_else(|| io::Error::new(io::ErrorKind::InvalidData, "empty journal"))?;
+        let bytes = std::fs::read(path)?;
+        // The writer ends every line with a newline, so an unterminated
+        // last line — or one cut inside a multi-byte character — is the
+        // torn tail of a killed writer: reading stops there.
+        let mut lines = bytes
+            .split_inclusive(|&b| b == b'\n')
+            .map_while(|l| std::str::from_utf8(l.strip_suffix(b"\n")?).ok());
+        let header_line = lines.next().ok_or_else(|| {
+            io::Error::new(io::ErrorKind::InvalidData, "journal has no complete header line")
+        })?;
         let header = JournalHeader::parse(header_line).ok_or_else(|| {
             io::Error::new(io::ErrorKind::InvalidData, "journal header is not taintvp-fleet/v1")
         })?;
@@ -289,7 +165,7 @@ impl Journal {
         // Byte offset past the last intact line — where appends resume.
         let mut intact_end = header_line.len() as u64 + 1;
         let mut results: Vec<JobResult> = Vec::new();
-        for line in &lines[1..] {
+        for line in lines {
             match parse_record(line) {
                 Some(r) => {
                     intact_end += line.len() as u64 + 1;
@@ -458,5 +334,86 @@ mod tests {
         let err = Journal::open_resume(&path, &other).unwrap_err();
         assert!(err.to_string().contains("different campaign"), "{err}");
         std::fs::remove_file(&path).ok();
+    }
+
+    #[test]
+    fn torn_utf8_tail_is_dropped_not_an_error() {
+        // A writer killed one byte into a multi-byte character of a
+        // non-ASCII panic message leaves invalid UTF-8 at the tail.
+        let dir = std::env::temp_dir().join(format!("fleet-journal-{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        let path = dir.join("torn-utf8.jsonl");
+        let header = JournalHeader { suite: "t".into(), jobs: 4, seed: 9 };
+        {
+            let mut j = Journal::create(&path, &header).unwrap();
+            j.append(&sample(0, JobStatus::Ok)).unwrap();
+            j.sync().unwrap();
+        }
+        let intact_len = std::fs::metadata(&path).unwrap().len();
+        let mut r = sample(1, JobStatus::Crashed);
+        r.detail = Some("panicked: clé".to_string());
+        let line = render_record(&r);
+        let cut = line.find('é').unwrap() + 1;
+        {
+            let mut f = OpenOptions::new().append(true).open(&path).unwrap();
+            f.write_all(&line.as_bytes()[..cut]).unwrap();
+        }
+        let (_j, recovered) = Journal::open_resume(&path, &header).expect("torn tail tolerated");
+        let ids: Vec<u64> = recovered.iter().map(|r| r.job_id).collect();
+        assert_eq!(ids, vec![0]);
+        assert_eq!(std::fs::metadata(&path).unwrap().len(), intact_len, "torn bytes truncated");
+        std::fs::remove_file(&path).ok();
+    }
+
+    #[test]
+    fn unterminated_last_record_is_rerun_not_padded() {
+        // A complete record whose newline never reached the disk is
+        // dropped (its job reruns), and the file is cut back to the last
+        // line boundary instead of being extended past its end.
+        let dir = std::env::temp_dir().join(format!("fleet-journal-{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        let path = dir.join("unterminated.jsonl");
+        let header = JournalHeader { suite: "t".into(), jobs: 4, seed: 9 };
+        {
+            let mut j = Journal::create(&path, &header).unwrap();
+            j.append(&sample(0, JobStatus::Ok)).unwrap();
+            j.sync().unwrap();
+        }
+        let intact_len = std::fs::metadata(&path).unwrap().len();
+        {
+            let mut f = OpenOptions::new().append(true).open(&path).unwrap();
+            write!(f, "{}", render_record(&sample(1, JobStatus::Ok))).unwrap();
+        }
+        let (mut j, recovered) = Journal::open_resume(&path, &header).unwrap();
+        assert_eq!(recovered.len(), 1);
+        assert_eq!(std::fs::metadata(&path).unwrap().len(), intact_len);
+        j.append(&sample(1, JobStatus::Ok)).unwrap();
+        j.sync().unwrap();
+        let (_j, recovered) = Journal::open_resume(&path, &header).unwrap();
+        assert_eq!(recovered.len(), 2, "the rerun record lands on a clean line");
+        std::fs::remove_file(&path).ok();
+    }
+
+    #[test]
+    fn full_range_seed_resumes() {
+        let dir = std::env::temp_dir().join(format!("fleet-journal-{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        let path = dir.join("max-seed.jsonl");
+        let header = JournalHeader { suite: "t".into(), jobs: 1, seed: u64::MAX };
+        Journal::create(&path, &header).unwrap();
+        let (_j, recovered) = Journal::open_resume(&path, &header).expect("u64::MAX seed matches");
+        assert!(recovered.is_empty());
+        let other = JournalHeader { seed: u64::MAX - 1, ..header };
+        assert!(Journal::open_resume(&path, &other).is_err(), "seeds differing in bit 0");
+        std::fs::remove_file(&path).ok();
+    }
+
+    #[test]
+    fn out_of_range_attempts_is_a_foreign_record() {
+        let line = render_record(&sample(4, JobStatus::Ok));
+        let foreign = line.replacen("\"attempts\":2,", "\"attempts\":4294967297,", 1);
+        assert_ne!(line, foreign);
+        assert!(parse_record(&line).is_some());
+        assert!(parse_record(&foreign).is_none(), "attempts must not truncate to u32");
     }
 }

@@ -312,7 +312,7 @@ mod tests {
         let mut buf = Vec::new();
         write_json(&mut buf, &map, &atoms, None).unwrap();
         let json = String::from_utf8(buf).unwrap();
-        crate::export::validate_json(&json).expect("flow JSON must be structurally valid");
+        crate::json::parse(&json).expect("flow JSON must be structurally valid");
         assert!(json.contains("\"schema\": \"taintvp-flow/v1\""), "{json}");
         assert!(json.contains("\"repeats\": 4"), "{json}");
         assert!(json.contains("\"target\": \"uart\""), "{json}");
@@ -342,6 +342,6 @@ mod tests {
         write_dot(&mut dot, &map, &atoms, None).unwrap();
         let mut json = Vec::new();
         write_json(&mut json, &map, &atoms, None).unwrap();
-        crate::export::validate_json(&String::from_utf8(json).unwrap()).unwrap();
+        crate::json::parse(&String::from_utf8(json).unwrap()).unwrap();
     }
 }

@@ -19,6 +19,8 @@
 //! violation, [`Recorder::flight_report`] renders the last events with
 //! lazy disassembly, the failed check, and the classification site each
 //! offending atom originally came from.
+//!
+//! [`json`] is the workspace's one JSON reader and string escaper.
 
 #![warn(missing_docs)]
 #![warn(rust_2018_idioms)]
@@ -29,6 +31,7 @@ pub mod expo;
 pub mod export;
 pub mod flowgraph;
 pub mod hist;
+pub mod json;
 mod metrics;
 pub mod prof;
 mod provenance;

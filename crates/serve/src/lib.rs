@@ -31,12 +31,15 @@
 #![warn(missing_docs)]
 #![warn(rust_2018_idioms)]
 
-pub mod json;
 pub mod metrics;
 pub mod proto;
 mod registry;
 mod server;
 mod session;
+
+/// The workspace JSON reader, through which every request line is parsed
+/// (defined in, and re-exported from, [`vpdift_obs::json`]).
+pub use vpdift_obs::json;
 
 pub use metrics::{ServeMetrics, SessionStats};
 pub use proto::{ErrorCode, ServeError, Version, SCHEMA, SCHEMA_V2};

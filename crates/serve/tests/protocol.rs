@@ -9,7 +9,8 @@
 //! wall clock), so the whole transcript is byte-stable; regenerate with
 //! `UPDATE_GOLDEN=1 cargo test -p vpdift-serve --test protocol`.
 
-use vpdift_obs::export::{escape, validate_json};
+use vpdift_obs::export::escape;
+use vpdift_obs::json;
 use vpdift_serve::{Control, Server};
 
 const IMMO_PROGRAM: &str = include_str!("../../../docs/examples/immo_leak.s");
@@ -64,7 +65,7 @@ fn immo_watchpoint_session_matches_golden_transcript() {
     let (out, control) = drive(&mut server, &immo_script());
     assert_eq!(control, Control::Shutdown);
     for line in &out {
-        validate_json(line).unwrap_or_else(|e| panic!("bad line `{line}`: {e}"));
+        json::parse(line).unwrap_or_else(|e| panic!("bad line `{line}`: {e}"));
     }
     let transcript = out.join("\n") + "\n";
 
@@ -154,6 +155,15 @@ fn one_shot(server: &mut Server, line: &str) -> Vec<String> {
 }
 
 #[test]
+fn ids_above_2_pow_53_are_echoed_exactly() {
+    let mut server = Server::new();
+    for id in [(1u64 << 53) + 1, u64::MAX] {
+        let out = one_shot(&mut server, &format!("{{\"id\":{id},\"cmd\":\"list\"}}"));
+        assert!(out[0].starts_with(&format!("{{\"id\":{id},\"ok\":true")), "{}", out[0]);
+    }
+}
+
+#[test]
 fn malformed_and_unknown_requests_get_typed_errors() {
     let mut server = Server::new();
     let cases: &[(&str, &str)] = &[
@@ -169,7 +179,7 @@ fn malformed_and_unknown_requests_get_typed_errors() {
     for (req, code) in cases {
         let out = one_shot(&mut server, req);
         assert_eq!(out.len(), 1, "exactly one error line for {req}");
-        validate_json(&out[0]).expect("error line parses");
+        json::parse(&out[0]).expect("error line parses");
         assert!(out[0].contains(&format!("\"code\":\"{code}\"")), "{req} -> {}", out[0]);
         assert!(out[0].contains("\"ok\":false"), "{}", out[0]);
     }
