@@ -20,17 +20,14 @@ use vpdift_immo::scenarios::{build_program as build_leak_program, Scenario};
 use vpdift_kernel::SimTime;
 use vpdift_periph::can::regs as can_regs;
 use vpdift_periph::CanFrame;
-use vpdift_rv32::Tainted;
+use vpdift_rv32::{TaintMode, Tainted};
 use vpdift_soc::{map, ExecConfig, Soc, SocBuilder, SocExit};
 use vpdift_sync::shared;
 
-use crate::config::{generate_plan, FaultKind, PlannedFault};
+use crate::config::{FaultKind, PlannedFault};
 use crate::hooks::LossyCanFault;
 use crate::injector::{run_with_faults, FaultRecord};
-
-/// RAM window targeted by random RAM faults: covers every workload image
-/// plus its working data (see [`generate_plan`]).
-const RAM_FAULT_WINDOW: u32 = 0x4000;
+use crate::replay::{run_seed, Replay};
 
 /// Campaign parameters. Equal configs produce byte-identical reports.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -265,8 +262,10 @@ pub fn classify(reference: &ScenarioRun, run: &ScenarioRun) -> Outcome {
     }
 }
 
-fn observe<S: vpdift_obs::ObsSink>(
-    soc: &Soc<Tainted, S>,
+/// Snapshots a finished run in the classifier's terms; `auths` counts
+/// the run's successful ECU authentications.
+pub fn observe<M: TaintMode, S: vpdift_obs::ObsSink>(
+    soc: &Soc<M, S>,
     exit: SocExit,
     auths: u32,
     faults: Vec<FaultRecord>,
@@ -519,30 +518,6 @@ impl CampaignReport {
     pub fn total(&self, outcome: Outcome) -> u64 {
         self.summary[outcome.index()]
     }
-
-    /// Classifications of `outcome` for one scenario name.
-    pub fn scenario_count(&self, scenario: &str, outcome: Outcome) -> u64 {
-        let directed =
-            self.directed.iter().filter(|s| s.scenario == scenario && s.outcome == outcome).count()
-                as u64;
-        let random = self
-            .random
-            .iter()
-            .flat_map(|r| &r.results)
-            .filter(|s| s.scenario == scenario && s.outcome == outcome)
-            .count() as u64;
-        directed + random
-    }
-}
-
-/// Derives the schedule seed of run `i` from the master seed.
-fn run_seed(master: u64, i: u32) -> u64 {
-    master.wrapping_add((i as u64 + 1).wrapping_mul(0x9E37_79B9_7F4A_7C15))
-}
-
-/// Schedule size for a reference that took `steps` steps.
-fn plan_size(steps: u64, rate: f64) -> u32 {
-    (((steps as f64) * rate).ceil() as u64).clamp(1, 32) as u32
 }
 
 /// Everything a campaign computes exactly once before the seeded runs
@@ -613,17 +588,8 @@ pub fn random_run(
     let mut results = Vec::new();
     let mut steps = 0u64;
     for (kind, reference) in refs {
-        let plan = generate_plan(
-            seed ^ kind.salt(),
-            plan_size(reference.steps, config.rate),
-            reference.steps.max(1),
-            RAM_FAULT_WINDOW,
-        );
-        let budget = reference.steps * 4 + 10_000;
-        // Host-side hang detection: well beyond anything the
-        // reference needed, in both time and steps.
-        let watchdog = (reference.sim_time * 4).saturating_add(SimTime::from_ms(1));
-        let run = faulted_run(*kind, &plan, Some(watchdog), budget);
+        let replay = Replay::new(reference, seed ^ kind.salt(), config.rate);
+        let run = faulted_run(*kind, &replay.plan, Some(replay.watchdog), replay.budget);
         let outcome = classify(reference, &run);
         steps += run.steps;
         results.push(ScenarioOutcome {

@@ -42,13 +42,15 @@ pub mod campaign;
 pub mod config;
 pub mod hooks;
 pub mod injector;
+pub mod replay;
 pub mod report;
 
 pub use campaign::{
-    campaign_prelude, classify, random_run, run_campaign, CampaignConfig, CampaignPrelude,
+    campaign_prelude, classify, observe, random_run, run_campaign, CampaignConfig, CampaignPrelude,
     CampaignReport, Outcome, RunOutcomes, ScenarioKind, ScenarioOutcome, ScenarioRun,
 };
 pub use config::{generate_plan, FaultKind, PlannedFault};
 pub use hooks::{ArmedBusFault, BusFaultKind, LossyCanFault};
 pub use injector::{apply_fault, run_with_faults, FaultRecord, InjectorState};
-pub use report::{render_json, run_json, scenario_json};
+pub use replay::{parse_rate, parse_seed, run_seed, seeded_plan, Replay};
+pub use report::{push_rows, render_json, render_report, run_json, scenario_json};

@@ -7,7 +7,9 @@
 
 use std::fmt::Write as _;
 
-use crate::campaign::{CampaignReport, Outcome, RunOutcomes, ScenarioOutcome};
+use crate::campaign::{
+    CampaignConfig, CampaignReport, Outcome, ReferenceInfo, RunOutcomes, ScenarioOutcome,
+};
 use crate::injector::FaultRecord;
 
 /// Renders one fault record as a compact JSON object.
@@ -47,46 +49,55 @@ pub fn run_json(run: &RunOutcomes) -> String {
 /// Renders the report as deterministic JSON: equal reports produce
 /// byte-identical output.
 pub fn render_json(report: &CampaignReport) -> String {
+    let runs: Vec<String> = report.random.iter().map(run_json).collect();
+    render_report(&report.config, &report.references, &report.directed, &runs, &report.summary)
+}
+
+/// Renders a campaign report from its parts: the head (`campaign`,
+/// `references`, `directed`), the already rendered `runs` rows, and the
+/// outcome `summary` indexed by [`Outcome::index`]. The serial
+/// [`render_json`] and the fleet campaign both render through here.
+pub fn render_report(
+    config: &CampaignConfig,
+    references: &[ReferenceInfo],
+    directed: &[ScenarioOutcome],
+    runs: &[String],
+    summary: &[u64],
+) -> String {
     let mut out = String::new();
     out.push_str("{\n");
     let _ = writeln!(
         out,
         "  \"campaign\": {{\"seed\": {}, \"runs\": {}, \"rate\": {}}},",
-        report.config.seed, report.config.runs, report.config.rate
+        config.seed, config.runs, config.rate
     );
-
-    out.push_str("  \"references\": [\n");
-    for (i, r) in report.references.iter().enumerate() {
-        let comma = if i + 1 < report.references.len() { "," } else { "" };
-        let _ = writeln!(
-            out,
-            "    {{\"scenario\":\"{}\",\"exit\":\"{}\",\"steps\":{}}}{comma}",
-            r.scenario, r.exit, r.steps
-        );
-    }
-    out.push_str("  ],\n");
-
-    out.push_str("  \"directed\": [\n");
-    for (i, s) in report.directed.iter().enumerate() {
-        let comma = if i + 1 < report.directed.len() { "," } else { "" };
-        let _ = writeln!(out, "    {}{comma}", scenario_json(s));
-    }
-    out.push_str("  ],\n");
-
-    out.push_str("  \"runs\": [\n");
-    for (i, run) in report.random.iter().enumerate() {
-        let comma = if i + 1 < report.random.len() { "," } else { "" };
-        let _ = writeln!(out, "    {}{comma}", run_json(run));
-    }
-    out.push_str("  ],\n");
-
-    let summary: Vec<String> = Outcome::ALL
+    let references: Vec<String> = references
         .iter()
-        .map(|o| format!("\"{}\": {}", o.label(), report.summary[o.index()]))
+        .map(|r| {
+            format!(
+                "{{\"scenario\":\"{}\",\"exit\":\"{}\",\"steps\":{}}}",
+                r.scenario, r.exit, r.steps
+            )
+        })
         .collect();
+    push_rows(&mut out, "references", &references);
+    push_rows(&mut out, "directed", &directed.iter().map(scenario_json).collect::<Vec<_>>());
+    push_rows(&mut out, "runs", runs);
+    let summary: Vec<String> =
+        Outcome::ALL.iter().map(|o| format!("\"{}\": {}", o.label(), summary[o.index()])).collect();
     let _ = writeln!(out, "  \"summary\": {{{}}}", summary.join(", "));
     out.push_str("}\n");
     out
+}
+
+/// Writes the report member `name` as an array of `rows`, one per line.
+pub fn push_rows(out: &mut String, name: &str, rows: &[String]) {
+    let _ = writeln!(out, "  \"{name}\": [");
+    for (i, row) in rows.iter().enumerate() {
+        let comma = if i + 1 < rows.len() { "," } else { "" };
+        let _ = writeln!(out, "    {row}{comma}");
+    }
+    out.push_str("  ],\n");
 }
 
 #[cfg(test)]

@@ -9,19 +9,18 @@
 //! [`vpdift_faults::run_campaign`] — regardless of worker count,
 //! stealing, or interleaving.
 
-use std::fmt::Write as _;
 use std::path::Path;
 use std::sync::Arc;
 
 use vpdift_faults::campaign::ReferenceInfo;
 use vpdift_faults::{
-    campaign_prelude, random_run, run_json, scenario_json, CampaignConfig, CampaignPrelude, Outcome,
+    campaign_prelude, random_run, render_report, run_json, CampaignConfig, Outcome,
 };
 use vpdift_obs::json::{self, Value};
 
 use crate::executor::{Fleet, FleetConfig};
 use crate::job::{Job, JobOutput, JobResult, JobStatus};
-use crate::journal::{Journal, JournalHeader};
+use crate::journal::JournalHeader;
 
 /// A finished parallel campaign.
 #[derive(Debug)]
@@ -39,14 +38,6 @@ pub struct FleetCampaign {
     /// Outcome totals across directed + completed runs, indexed by
     /// [`Outcome::index`].
     pub summary: Vec<u64>,
-}
-
-impl FleetCampaign {
-    /// Counts classifications of `outcome` for `scenario` in the
-    /// rendered report (see [`count_scenario_outcome`]).
-    pub fn scenario_outcome_count(&self, scenario: &str, outcome: &str) -> u64 {
-        count_scenario_outcome(&self.json, scenario, outcome)
-    }
 }
 
 /// Counts scenario objects in `json` (rendered by
@@ -77,8 +68,7 @@ pub fn run_campaign_fleet(
     journal_path: Option<&Path>,
     resume: bool,
 ) -> std::io::Result<FleetCampaign> {
-    let prelude = campaign_prelude(config);
-    let prelude = Arc::new(prelude);
+    let prelude = Arc::new(campaign_prelude(config));
     let campaign = *config;
 
     let jobs: Vec<Job> = (0..config.runs)
@@ -99,100 +89,55 @@ pub fn run_campaign_fleet(
         suite: "faultcamp".into(),
         jobs: u64::from(config.runs),
         seed: config.seed,
+        rate: config.rate,
+        image: None,
     };
-    let (mut journal, recovered) = match (journal_path, resume) {
-        (Some(path), true) => {
-            let (j, recovered) = Journal::open_resume(path, &header)?;
-            (Some(j), recovered)
-        }
-        (Some(path), false) => (Some(Journal::create(path, &header)?), Vec::new()),
-        (None, _) => (None, Vec::new()),
-    };
+    let (results, resumed) =
+        Fleet::new(fleet_config.clone()).run_journaled(jobs, journal_path, resume, &header)?;
 
-    let skip: Vec<u64> = recovered.iter().map(|r| r.job_id).collect();
-    let resumed = skip.len();
-    if let Some(hub) = &fleet_config.telemetry {
-        hub.add_resumed(resumed as u64);
-    }
-    let fresh = Fleet::new(fleet_config.clone()).run(jobs, journal.as_mut(), &skip);
-
-    let mut results = recovered;
-    results.extend(fresh);
-    results.sort_by_key(|r| r.job_id);
-
-    Ok(assemble(&prelude, config, &results, resumed))
-}
-
-/// Reassembles the deterministic report from the prelude and per-run
-/// results. Failed runs are rendered as explicit `"failed"` rows (they
-/// cost exactly one classified result each — never the campaign).
-fn assemble(
-    prelude: &CampaignPrelude,
-    config: &CampaignConfig,
-    results: &[JobResult],
-    resumed: usize,
-) -> FleetCampaign {
+    // Failed runs are explicit `"failed"` rows: they cost exactly one
+    // classified result each, never the campaign.
     let mut summary = vec![0u64; Outcome::COUNT];
     for s in &prelude.directed {
         summary[s.outcome.index()] += 1;
     }
-    let mut failures = Vec::new();
+    let (rows, failed) = runs_rows(&results, "run", &mut summary);
+    Ok(FleetCampaign {
+        json: render_report(config, &prelude.references, &prelude.directed, &rows, &summary),
+        failures: failed.iter().map(|r| (r.job_id, r.status.label())).collect(),
+        resumed,
+        references: prelude.references.clone(),
+        summary,
+    })
+}
 
-    let mut out = String::new();
-    out.push_str("{\n");
-    let _ = writeln!(
-        out,
-        "  \"campaign\": {{\"seed\": {}, \"runs\": {}, \"rate\": {}}},",
-        config.seed, config.runs, config.rate
-    );
-    out.push_str("  \"references\": [\n");
-    for (i, r) in prelude.references.iter().enumerate() {
-        let comma = if i + 1 < prelude.references.len() { "," } else { "" };
-        let _ = writeln!(
-            out,
-            "    {{\"scenario\":\"{}\",\"exit\":\"{}\",\"steps\":{}}}{comma}",
-            r.scenario, r.exit, r.steps
-        );
-    }
-    out.push_str("  ],\n");
-    out.push_str("  \"directed\": [\n");
-    for (i, s) in prelude.directed.iter().enumerate() {
-        let comma = if i + 1 < prelude.directed.len() { "," } else { "" };
-        let _ = writeln!(out, "    {}{comma}", scenario_json(s));
-    }
-    out.push_str("  ],\n");
-
-    out.push_str("  \"runs\": [\n");
-    for (i, r) in results.iter().enumerate() {
-        let comma = if i + 1 < results.len() { "," } else { "" };
-        match (&r.status, &r.payload) {
+/// The rows of a report's `"runs"` array, one per result in job-id
+/// order: a completed job's payload verbatim, any other job as
+/// `{"<id_key>":N,"failed":"<status>"}`. Completed jobs' outcome counts
+/// are added into `summary`; the jobs that did not complete are returned
+/// beside the rows.
+pub fn runs_rows<'a>(
+    results: &'a [JobResult],
+    id_key: &str,
+    summary: &mut [u64],
+) -> (Vec<String>, Vec<&'a JobResult>) {
+    let mut failed = Vec::new();
+    let rows = results
+        .iter()
+        .map(|r| match (&r.status, &r.payload) {
             (JobStatus::Ok, Some(payload)) => {
-                for (slot, n) in r.counts.iter().enumerate() {
-                    if let Some(cell) = summary.get_mut(slot) {
-                        *cell += n;
-                    }
+                for (cell, n) in summary.iter_mut().zip(&r.counts) {
+                    *cell += n;
                 }
-                let _ = writeln!(out, "    {payload}{comma}");
+                payload.clone()
             }
             _ => {
-                failures.push((r.job_id, r.status.label()));
-                let _ = writeln!(
-                    out,
-                    "    {{\"run\":{},\"failed\":\"{}\"}}{comma}",
-                    r.job_id,
-                    r.status.label()
-                );
+                failed.push(r);
+                format!("{{\"{id_key}\":{},\"failed\":\"{}\"}}", r.job_id, r.status.label())
             }
-        }
-    }
-    out.push_str("  ],\n");
-
-    let rendered: Vec<String> =
-        Outcome::ALL.iter().map(|o| format!("\"{}\": {}", o.label(), summary[o.index()])).collect();
-    let _ = writeln!(out, "  \"summary\": {{{}}}", rendered.join(", "));
-    out.push_str("}\n");
-
-    FleetCampaign { json: out, failures, resumed, references: prelude.references.clone(), summary }
+        })
+        .collect();
+    (rows, failed)
 }
 
 #[cfg(test)]
@@ -217,7 +162,7 @@ mod tests {
                 let counted: u64 = fleet
                     .references
                     .iter()
-                    .map(|r| fleet.scenario_outcome_count(r.scenario, o.label()))
+                    .map(|r| count_scenario_outcome(&fleet.json, r.scenario, o.label()))
                     .sum();
                 assert_eq!(counted, fleet.summary[o.index()], "outcome {}", o.label());
             }

@@ -21,7 +21,9 @@
 //! never reach the output.
 
 use std::collections::VecDeque;
+use std::io;
 use std::panic::{catch_unwind, AssertUnwindSafe};
+use std::path::Path;
 use std::sync::atomic::{AtomicBool, AtomicU8, AtomicUsize, Ordering};
 use std::sync::{mpsc, Arc, Mutex};
 use std::time::{Duration, Instant};
@@ -29,7 +31,7 @@ use std::time::{Duration, Instant};
 use vpdift_obs::{InsnCell, StopFlag};
 
 use crate::job::{Job, JobCtx, JobError, JobResult, JobStatus};
-use crate::journal::Journal;
+use crate::journal::{Journal, JournalHeader};
 use crate::telemetry::{TelemetryHub, WorkerStats};
 
 /// Executor tuning.
@@ -226,6 +228,35 @@ impl Fleet {
         }
         results.sort_by_key(|r| r.job_id);
         results
+    }
+
+    /// [`run`](Fleet::run) with an optional journal at `journal`: created
+    /// fresh under `header`, or with `resume` reopened (the header must
+    /// match), its completed jobs skipped, counted as resumed in the
+    /// telemetry hub and merged back. Returns every job's result in id
+    /// order and how many came from the journal.
+    pub fn run_journaled(
+        &self,
+        jobs: Vec<Job>,
+        journal: Option<&Path>,
+        resume: bool,
+        header: &JournalHeader,
+    ) -> io::Result<(Vec<JobResult>, usize)> {
+        let (mut journal, mut results) = match (journal, resume) {
+            (Some(path), true) => {
+                let (j, recovered) = Journal::open_resume(path, header)?;
+                (Some(j), recovered)
+            }
+            (Some(path), false) => (Some(Journal::create(path, header)?), Vec::new()),
+            (None, _) => (None, Vec::new()),
+        };
+        let skip: Vec<u64> = results.iter().map(|r| r.job_id).collect();
+        if let Some(hub) = &self.config.telemetry {
+            hub.add_resumed(skip.len() as u64);
+        }
+        results.extend(self.run(jobs, journal.as_mut(), &skip));
+        results.sort_by_key(|r| r.job_id);
+        Ok((results, skip.len()))
     }
 }
 

@@ -1,8 +1,9 @@
-//! The crash-safe results journal: `taintvp-fleet/v1` JSONL.
+//! The crash-safe results journal: `taintvp-fleet/v2` JSONL.
 //!
-//! Line 1 is the header (format tag, suite name, job count, seed); every
-//! following line is one terminal [`JobResult`]. Appends are fsync'd per
-//! batch by the executor, so after SIGKILL the file holds every result
+//! Line 1 is the header (format tag, suite name, job count, seed, fault
+//! rate, program image hash); every following line is one terminal
+//! [`JobResult`]. Appends are fsync'd per batch by the executor, so
+//! after SIGKILL the file holds every result
 //! reported before the last sync plus at most one torn line. Resume
 //! ([`Journal::open_resume`]) tolerates that torn tail — it parses what
 //! it can, verifies the header matches the campaign being resumed, and
@@ -23,27 +24,34 @@ use vpdift_obs::json::{self, escape, Value};
 use crate::job::{JobResult, JobStatus};
 
 /// The format tag every journal opens with.
-pub const FORMAT: &str = "taintvp-fleet/v1";
+pub const FORMAT: &str = "taintvp-fleet/v2";
 
 /// Campaign identity, pinned in the header line and re-verified on
 /// resume so a journal can never splice results from a different sweep.
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct JournalHeader {
-    /// Suite name (e.g. `faultcamp`, `immo-fleet`).
+    /// Suite name (e.g. `faultcamp`, `immo-sweep`).
     pub suite: String,
     /// Total jobs in the campaign.
     pub jobs: u64,
     /// Master seed.
     pub seed: u64,
+    /// Faults per step of every job's schedule.
+    pub rate: f64,
+    /// [`content_hash`] of the swept guest image, for sweeps of an
+    /// external program; `None` for built-in scenarios.
+    pub image: Option<u64>,
 }
 
 impl JournalHeader {
     fn render(&self) -> String {
         format!(
-            "{{\"format\":\"{FORMAT}\",\"suite\":\"{}\",\"jobs\":{},\"seed\":{}}}",
+            "{{\"format\":\"{FORMAT}\",\"suite\":\"{}\",\"jobs\":{},\"seed\":{},\"rate\":{},\"image\":{}}}",
             escape(&self.suite),
             self.jobs,
-            self.seed
+            self.seed,
+            self.rate,
+            self.image.map_or("null".to_owned(), |h| h.to_string()),
         )
     }
 
@@ -56,8 +64,20 @@ impl JournalHeader {
             suite: v.get("suite")?.as_str()?.to_owned(),
             jobs: v.get("jobs")?.as_u64()?,
             seed: v.get("seed")?.as_u64()?,
+            rate: v.get("rate")?.as_f64()?,
+            image: match v.get("image")? {
+                Value::Null => None,
+                h => Some(h.as_u64()?),
+            },
         })
     }
+}
+
+/// FNV-1a hash of a guest image, pinned in [`JournalHeader::image`].
+pub fn content_hash(bytes: &[u8]) -> u64 {
+    bytes
+        .iter()
+        .fold(0xCBF2_9CE4_8422_2325, |h, &b| (h ^ u64::from(b)).wrapping_mul(0x100_0000_01B3))
 }
 
 /// Renders one result as its journal line (no trailing newline).
@@ -149,15 +169,15 @@ impl Journal {
             io::Error::new(io::ErrorKind::InvalidData, "journal has no complete header line")
         })?;
         let header = JournalHeader::parse(header_line).ok_or_else(|| {
-            io::Error::new(io::ErrorKind::InvalidData, "journal header is not taintvp-fleet/v1")
+            io::Error::new(io::ErrorKind::InvalidData, format!("journal header is not {FORMAT}"))
         })?;
         if &header != expect {
             return Err(io::Error::new(
                 io::ErrorKind::InvalidData,
                 format!(
-                    "journal belongs to a different campaign: \
-                     found suite={} jobs={} seed={}, expected suite={} jobs={} seed={}",
-                    header.suite, header.jobs, header.seed, expect.suite, expect.jobs, expect.seed
+                    "journal belongs to a different campaign: found {}, expected {}",
+                    header.render(),
+                    expect.render()
                 ),
             ));
         }
@@ -243,7 +263,7 @@ mod tests {
         let dir = std::env::temp_dir().join(format!("fleet-journal-{}", std::process::id()));
         std::fs::create_dir_all(&dir).unwrap();
         let path = dir.join("torn.jsonl");
-        let header = JournalHeader { suite: "t".into(), jobs: 4, seed: 9 };
+        let header = JournalHeader { suite: "t".into(), jobs: 4, seed: 9, rate: 5e-5, image: None };
         {
             let mut j = Journal::create(&path, &header).unwrap();
             j.append(&sample(0, JobStatus::Ok)).unwrap();
@@ -280,7 +300,7 @@ mod tests {
         let dir = std::env::temp_dir().join(format!("fleet-journal-{}", std::process::id()));
         std::fs::create_dir_all(&dir).unwrap();
         let path = dir.join("torn-brace.jsonl");
-        let header = JournalHeader { suite: "t".into(), jobs: 4, seed: 9 };
+        let header = JournalHeader { suite: "t".into(), jobs: 4, seed: 9, rate: 5e-5, image: None };
         {
             let mut j = Journal::create(&path, &header).unwrap();
             j.append(&sample(0, JobStatus::Ok)).unwrap();
@@ -308,7 +328,13 @@ mod tests {
 
     #[test]
     fn header_with_quotes_in_suite_round_trips() {
-        let header = JournalHeader { suite: "camp \"alpha\" \\ beta".into(), jobs: 2, seed: 1 };
+        let header = JournalHeader {
+            suite: "camp \"alpha\" \\ beta".into(),
+            jobs: 2,
+            seed: 1,
+            rate: 5e-5,
+            image: None,
+        };
         let parsed = JournalHeader::parse(&header.render()).expect("escaped header parses");
         assert_eq!(parsed, header);
 
@@ -328,11 +354,33 @@ mod tests {
         let dir = std::env::temp_dir().join(format!("fleet-journal-{}", std::process::id()));
         std::fs::create_dir_all(&dir).unwrap();
         let path = dir.join("mismatch.jsonl");
-        let header = JournalHeader { suite: "a".into(), jobs: 4, seed: 9 };
+        let header = JournalHeader {
+            suite: "a".into(),
+            jobs: 4,
+            seed: 9,
+            rate: 5e-5,
+            image: Some(content_hash(b"one guest")),
+        };
         Journal::create(&path, &header).unwrap();
-        let other = JournalHeader { suite: "a".into(), jobs: 4, seed: 10 };
-        let err = Journal::open_resume(&path, &other).unwrap_err();
-        assert!(err.to_string().contains("different campaign"), "{err}");
+        for other in [
+            JournalHeader { seed: 10, ..header.clone() },
+            JournalHeader { rate: 2e-3, ..header.clone() },
+            JournalHeader { image: Some(content_hash(b"another guest")), ..header.clone() },
+            JournalHeader { image: None, ..header.clone() },
+        ] {
+            let err = Journal::open_resume(&path, &other).unwrap_err();
+            assert_eq!(err.kind(), io::ErrorKind::InvalidData);
+            assert!(err.to_string().contains("different campaign"), "{err}");
+        }
+
+        // A journal of the previous format is refused, not misread.
+        std::fs::write(
+            &path,
+            "{\"format\":\"taintvp-fleet/v1\",\"suite\":\"a\",\"jobs\":4,\"seed\":9}\n",
+        )
+        .unwrap();
+        let err = Journal::open_resume(&path, &header).unwrap_err();
+        assert!(err.to_string().contains("is not taintvp-fleet/v2"), "{err}");
         std::fs::remove_file(&path).ok();
     }
 
@@ -343,7 +391,7 @@ mod tests {
         let dir = std::env::temp_dir().join(format!("fleet-journal-{}", std::process::id()));
         std::fs::create_dir_all(&dir).unwrap();
         let path = dir.join("torn-utf8.jsonl");
-        let header = JournalHeader { suite: "t".into(), jobs: 4, seed: 9 };
+        let header = JournalHeader { suite: "t".into(), jobs: 4, seed: 9, rate: 5e-5, image: None };
         {
             let mut j = Journal::create(&path, &header).unwrap();
             j.append(&sample(0, JobStatus::Ok)).unwrap();
@@ -373,7 +421,7 @@ mod tests {
         let dir = std::env::temp_dir().join(format!("fleet-journal-{}", std::process::id()));
         std::fs::create_dir_all(&dir).unwrap();
         let path = dir.join("unterminated.jsonl");
-        let header = JournalHeader { suite: "t".into(), jobs: 4, seed: 9 };
+        let header = JournalHeader { suite: "t".into(), jobs: 4, seed: 9, rate: 5e-5, image: None };
         {
             let mut j = Journal::create(&path, &header).unwrap();
             j.append(&sample(0, JobStatus::Ok)).unwrap();
@@ -399,7 +447,8 @@ mod tests {
         let dir = std::env::temp_dir().join(format!("fleet-journal-{}", std::process::id()));
         std::fs::create_dir_all(&dir).unwrap();
         let path = dir.join("max-seed.jsonl");
-        let header = JournalHeader { suite: "t".into(), jobs: 1, seed: u64::MAX };
+        let header =
+            JournalHeader { suite: "t".into(), jobs: 1, seed: u64::MAX, rate: 5e-5, image: None };
         Journal::create(&path, &header).unwrap();
         let (_j, recovered) = Journal::open_resume(&path, &header).expect("u64::MAX seed matches");
         assert!(recovered.is_empty());

@@ -13,7 +13,7 @@
 //! - per-job wall-clock deadlines, enforced through the session's
 //!   [`StopFlag`](vpdift_obs::StopFlag) and classified `hang`;
 //! - bounded, seed-stable retry for transient host faults;
-//! - a crash-safe `taintvp-fleet/v1` JSONL journal with torn-tail
+//! - a crash-safe `taintvp-fleet/v2` JSONL journal with torn-tail
 //!   tolerant resume.
 //!
 //! Aggregates are keyed by job id and carry only deterministic fields,
@@ -25,14 +25,16 @@
 
 pub mod campaign;
 pub mod executor;
+pub mod front;
 pub mod job;
 pub mod journal;
 pub mod telemetry;
 
 pub use campaign::{run_campaign_fleet, FleetCampaign};
 pub use executor::{quiet_worker_panics, retry_backoff, Fleet, FleetConfig};
+pub use front::{RunFlags, Telemetry};
 pub use job::{Job, JobCtx, JobError, JobFn, JobOutput, JobResult, JobStatus};
-pub use journal::{parse_record, render_record, Journal, JournalHeader, FORMAT};
+pub use journal::{content_hash, parse_record, render_record, Journal, JournalHeader, FORMAT};
 pub use telemetry::{
     spawn_sampler, SamplerConfig, SamplerHandle, TelemSnapshot, TelemetryHub, WorkerSnap,
     WorkerStats, TELEM_FORMAT,

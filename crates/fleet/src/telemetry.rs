@@ -30,9 +30,9 @@ use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use vpdift_obs::expo::Expo;
+use vpdift_obs::expo::{render_metrics, Expo};
 use vpdift_obs::hist::{AtomicHist, Hist, HistSpec};
-use vpdift_obs::InsnCell;
+use vpdift_obs::{InsnCell, Metrics};
 
 use crate::job::JobStatus;
 
@@ -522,11 +522,15 @@ impl TelemSnapshot {
     }
 }
 
-/// Renders a complete exposition document for one hub (convenience for
-/// scrape endpoints).
+/// Renders the `/metrics` document for one hub: the fleet series plus
+/// the `obs::metrics` registry under the `vp_` prefix, of which a fleet
+/// aggregates one counter live — retired instructions.
 pub fn render_prom(hub: &TelemetryHub) -> String {
     let mut expo = Expo::new();
-    hub.snapshot().render_prom(&mut expo);
+    let snap = hub.snapshot();
+    snap.render_prom(&mut expo);
+    let registry = Metrics { instructions: snap.insns, ..Metrics::default() };
+    render_metrics(&mut expo, "vp", &[], &registry);
     expo.finish()
 }
 

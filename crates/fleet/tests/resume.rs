@@ -60,3 +60,18 @@ fn truncated_journal_resumes_to_identical_bytes() {
     fs::remove_file(&full_path).ok();
     fs::remove_file(&interrupted_path).ok();
 }
+
+#[test]
+fn resume_refuses_a_journal_of_a_different_rate() {
+    let journaled = CampaignConfig { seed: 1, runs: 2, rate: 5e-5 };
+    let fleet_config = FleetConfig::default();
+    let path = temp_path("rate.jsonl");
+    run_campaign_fleet(&journaled, &fleet_config, Some(&path), false).unwrap();
+
+    let denser = CampaignConfig { rate: 2e-3, ..journaled };
+    let err = run_campaign_fleet(&denser, &fleet_config, Some(&path), true)
+        .expect_err("a 5e-5 journal must not resume a 2e-3 campaign");
+    assert_eq!(err.kind(), std::io::ErrorKind::InvalidData);
+    assert!(err.to_string().contains("different campaign"), "{err}");
+    fs::remove_file(&path).ok();
+}

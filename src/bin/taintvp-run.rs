@@ -59,7 +59,7 @@
 //! The `fleet` subcommand sweeps the immobilizer session under per-job
 //! fault schedules on the `vpdift-fleet` work-stealing executor: panicking
 //! sessions are isolated as `crashed`, deadline overruns are killed and
-//! classified `hang`, results stream into a crash-safe `taintvp-fleet/v1`
+//! classified `hang`, results stream into a crash-safe `taintvp-fleet/v2`
 //! journal, and the aggregate JSON is byte-identical for any worker count
 //! (docs/FLEET.md). Its telemetry flags (`--progress`,
 //! `--telemetry-out`, `--metrics-addr`, `--metrics-json`; see
@@ -105,8 +105,10 @@ use vpdift_sync::{shared, Shared};
 use taintvp::asm::{parse_asm, Program};
 use taintvp::core::{AtomTable, Tag};
 use taintvp::faults::{
-    classify, generate_plan, run_with_faults, Outcome, PlannedFault, ScenarioRun,
+    classify, observe, parse_rate, parse_seed, run_seed, run_with_faults, seeded_plan, Outcome,
+    PlannedFault, Replay, ScenarioRun,
 };
+use taintvp::fleet::RunFlags;
 use taintvp::loader::{is_elf, Elf32};
 use taintvp::obs::export::{write_chrome_trace, write_jsonl, write_metrics_json};
 use taintvp::obs::{NullSink, ObsSink, Recorder, SymbolMap};
@@ -115,10 +117,6 @@ use taintvp::soc::{ExecConfig, Soc, SocBuilder, SocExit};
 
 /// Ring capacity when observability is on but `--flight-recorder` is not.
 const DEFAULT_RING: usize = 32;
-
-/// RAM window (bytes from offset 0) that random fault schedules target —
-/// the loaded program plus its working data, matching the campaign runner.
-const RAM_FAULT_WINDOW: u32 = 0x4000;
 
 /// Exit code for a malformed guest binary (see the doc-comment table).
 const EXIT_LOADER: u8 = 8;
@@ -336,18 +334,14 @@ fn parse_args() -> Result<Options, String> {
             }
             "--fault-seed" => {
                 let s = args.next().ok_or("--fault-seed needs a number")?;
-                let v = match s.strip_prefix("0x").or_else(|| s.strip_prefix("0X")) {
-                    Some(hex) => u64::from_str_radix(hex, 16).ok(),
-                    None => s.parse().ok(),
-                };
-                opts.fault_seed = Some(v.ok_or_else(|| format!("bad --fault-seed `{s}`"))?);
+                opts.fault_seed =
+                    Some(parse_seed(&s).ok_or_else(|| format!("bad --fault-seed `{s}`"))?);
             }
             "--fault-rate" => {
                 let s = args.next().ok_or("--fault-rate needs a number")?;
-                opts.fault_rate = s.parse().map_err(|_| format!("bad --fault-rate `{s}`"))?;
-                if !(opts.fault_rate > 0.0 && opts.fault_rate.is_finite()) {
-                    return Err("--fault-rate must be a positive finite number".into());
-                }
+                opts.fault_rate = parse_rate(&s).ok_or_else(|| {
+                    format!("bad --fault-rate `{s}`: must be a positive finite number")
+                })?;
             }
             "--campaign" => {
                 opts.campaign = args
@@ -559,33 +553,12 @@ fn obs_epilogue(
     Ok(())
 }
 
-/// Deterministic fault schedule for a single `--fault-seed` run: the plan
-/// is sized by `--fault-rate` over the instruction budget (capped at 32
-/// faults, matching the campaign runner).
+/// Deterministic fault schedule for a single `--fault-seed` run, sized by
+/// `--fault-rate` over the instruction budget.
 fn fault_plan(opts: &Options) -> Vec<PlannedFault> {
     match opts.fault_seed {
         None => Vec::new(),
-        Some(seed) => {
-            let count = (opts.max_insns as f64 * opts.fault_rate).ceil() as u32;
-            generate_plan(seed, count.clamp(1, 32), opts.max_insns, RAM_FAULT_WINDOW)
-        }
-    }
-}
-
-/// Snapshot of a finished run in the campaign classifier's terms.
-fn snapshot<M: TaintMode, S: ObsSink>(
-    exit: SocExit,
-    soc: &Soc<M, S>,
-    faults: Vec<taintvp::faults::FaultRecord>,
-) -> ScenarioRun {
-    ScenarioRun {
-        exit,
-        uart: soc.uart().borrow().output().to_vec(),
-        auths: 0,
-        steps: soc.instret() + soc.cpu().traps_taken(),
-        traps: soc.cpu().traps_taken(),
-        sim_time: soc.now(),
-        faults,
+        Some(seed) => seeded_plan(seed, opts.max_insns, opts.fault_rate),
     }
 }
 
@@ -602,7 +575,7 @@ fn run_cli_campaign<M: TaintMode>(opts: &Options, guest: &Guest) -> ExitCode {
             return ExitCode::from(EXIT_LOADER);
         }
     };
-    let reference = snapshot(exit, &soc, Vec::new());
+    let reference = observe(&soc, exit, 0, Vec::new());
     eprintln!(
         "reference: exit {} after {} steps, {} UART bytes",
         reference.exit.label(),
@@ -610,28 +583,26 @@ fn run_cli_campaign<M: TaintMode>(opts: &Options, guest: &Guest) -> ExitCode {
         reference.uart.len()
     );
 
-    let horizon = reference.steps.max(1);
-    let budget = reference.steps.saturating_mul(4).saturating_add(10_000);
-    let count = ((horizon as f64 * opts.fault_rate).ceil() as u32).clamp(1, 32);
     let mut totals = [0u64; Outcome::COUNT];
     for i in 0..opts.campaign {
-        let seed = master.wrapping_add(u64::from(i + 1).wrapping_mul(0x9E37_79B9_7F4A_7C15));
-        let plan = generate_plan(seed, count, horizon, RAM_FAULT_WINDOW);
+        let seed = run_seed(master, i);
+        let replay = Replay::new(&reference, seed, opts.fault_rate);
         let obs = shared(NullSink);
         // Same options, new budget, no recursion into `--campaign` — the
         // observability flags are already rejected by parse_args here.
         let mut run_opts = opts.clone();
-        run_opts.max_insns = budget;
+        run_opts.max_insns = replay.budget;
         run_opts.trace = 0;
         run_opts.campaign = 0;
-        let (exit, soc, records) = match run_vp::<M, NullSink>(&run_opts, guest, obs, &plan) {
+        let (exit, soc, records) = match run_vp::<M, NullSink>(&run_opts, guest, obs, &replay.plan)
+        {
             Ok(r) => r,
             Err(e) => {
                 eprintln!("error: {e}");
                 return ExitCode::from(EXIT_LOADER);
             }
         };
-        let run = snapshot(exit, &soc, records);
+        let run = observe(&soc, exit, 0, records);
         let outcome = classify(&reference, &run);
         totals[outcome.index()] += 1;
         eprintln!(
@@ -722,32 +693,15 @@ struct FleetOptions {
     /// built-in immobilizer session when present.
     program: Option<String>,
     jobs: u32,
-    workers: usize,
     seed: u64,
     rate: f64,
     deadline_ms: u64,
-    journal: Option<String>,
-    resume: bool,
     out: Option<String>,
     inject_panic: Vec<u64>,
     inject_hang: Vec<u64>,
-    telemetry_interval_ms: u64,
-    telemetry_out: Option<String>,
-    metrics_addr: Option<String>,
-    metrics_linger_ms: u64,
     metrics_json: Option<String>,
-    progress: bool,
-}
-
-impl FleetOptions {
-    /// Whether any telemetry consumer is configured (spawns the hub and
-    /// sampler; off by default so the hot path stays unobserved).
-    fn telemetry_on(&self) -> bool {
-        self.telemetry_out.is_some()
-            || self.metrics_addr.is_some()
-            || self.metrics_json.is_some()
-            || self.progress
-    }
+    /// Workers, journal and telemetry: the flags `faultcamp` shares.
+    run: RunFlags,
 }
 
 const FLEET_USAGE: &str =
@@ -761,21 +715,14 @@ fn parse_fleet_args(args: &[String]) -> Result<FleetOptions, String> {
     let mut opts = FleetOptions {
         program: None,
         jobs: 64,
-        workers: 1,
         seed: 0xF1EE7,
         rate: 5e-5,
         deadline_ms: 10_000,
-        journal: None,
-        resume: false,
         out: None,
         inject_panic: Vec::new(),
         inject_hang: Vec::new(),
-        telemetry_interval_ms: 500,
-        telemetry_out: None,
-        metrics_addr: None,
-        metrics_linger_ms: 0,
         metrics_json: None,
-        progress: false,
+        run: RunFlags::default(),
     };
     let mut it = args.iter();
     while let Some(arg) = it.next() {
@@ -787,35 +734,20 @@ fn parse_fleet_args(args: &[String]) -> Result<FleetOptions, String> {
                 let v = value("--jobs")?;
                 opts.jobs = v.parse().map_err(|_| format!("bad --jobs `{v}`"))?;
             }
-            "--workers" => {
-                let v = value("--workers")?;
-                opts.workers = v.parse().map_err(|_| format!("bad --workers `{v}`"))?;
-                if opts.workers == 0 {
-                    return Err("--workers must be at least 1".into());
-                }
-            }
             "--seed" => {
                 let v = value("--seed")?;
-                let parsed = match v.strip_prefix("0x").or_else(|| v.strip_prefix("0X")) {
-                    Some(hex) => u64::from_str_radix(hex, 16).ok(),
-                    None => v.parse().ok(),
-                };
-                opts.seed = parsed.ok_or_else(|| format!("bad --seed `{v}`"))?;
+                opts.seed = parse_seed(v).ok_or_else(|| format!("bad --seed `{v}`"))?;
             }
             "--rate" => {
                 let v = value("--rate")?;
-                opts.rate = v.parse().map_err(|_| format!("bad --rate `{v}`"))?;
-                if !(opts.rate > 0.0 && opts.rate.is_finite()) {
-                    return Err("--rate must be a positive finite number".into());
-                }
+                opts.rate = parse_rate(v)
+                    .ok_or_else(|| format!("bad --rate `{v}`: must be a positive finite number"))?;
             }
             "--deadline-ms" => {
                 let v = value("--deadline-ms")?;
                 opts.deadline_ms = v.parse().map_err(|_| format!("bad --deadline-ms `{v}`"))?;
             }
             "--program" => opts.program = Some(value("--program")?.to_owned()),
-            "--journal" => opts.journal = Some(value("--journal")?.to_owned()),
-            "--resume" => opts.resume = true,
             "--out" => opts.out = Some(value("--out")?.to_owned()),
             "--inject-panic" => {
                 let v = value("--inject-panic")?;
@@ -825,35 +757,18 @@ fn parse_fleet_args(args: &[String]) -> Result<FleetOptions, String> {
                 let v = value("--inject-hang")?;
                 opts.inject_hang.push(v.parse().map_err(|_| format!("bad --inject-hang `{v}`"))?);
             }
-            "--telemetry-interval-ms" => {
-                let v = value("--telemetry-interval-ms")?;
-                opts.telemetry_interval_ms =
-                    v.parse().map_err(|_| format!("bad --telemetry-interval-ms `{v}`"))?;
-                if opts.telemetry_interval_ms == 0 {
-                    return Err("--telemetry-interval-ms must be at least 1".into());
+            "--metrics-json" => opts.metrics_json = Some(value("--metrics-json")?.to_owned()),
+            "--help" | "-h" => return Err(FLEET_USAGE.into()),
+            other => {
+                if !opts.run.take(other, || it.next().cloned())? {
+                    return Err(format!("unknown fleet option `{other}`\n{FLEET_USAGE}"));
                 }
             }
-            "--telemetry-out" => opts.telemetry_out = Some(value("--telemetry-out")?.to_owned()),
-            "--metrics-addr" => opts.metrics_addr = Some(value("--metrics-addr")?.to_owned()),
-            "--metrics-linger-ms" => {
-                let v = value("--metrics-linger-ms")?;
-                opts.metrics_linger_ms =
-                    v.parse().map_err(|_| format!("bad --metrics-linger-ms `{v}`"))?;
-            }
-            "--metrics-json" => opts.metrics_json = Some(value("--metrics-json")?.to_owned()),
-            "--progress" => opts.progress = true,
-            "--help" | "-h" => return Err(FLEET_USAGE.into()),
-            other => return Err(format!("unknown fleet option `{other}`\n{FLEET_USAGE}")),
         }
     }
-    if opts.resume && opts.journal.is_none() {
-        return Err("--resume needs --journal".into());
-    }
+    opts.run.check()?;
     if !opts.inject_hang.is_empty() && opts.deadline_ms == 0 {
         return Err("--inject-hang needs a nonzero --deadline-ms".into());
-    }
-    if opts.metrics_linger_ms > 0 && opts.metrics_addr.is_none() {
-        return Err("--metrics-linger-ms needs --metrics-addr".into());
     }
     Ok(opts)
 }
@@ -882,28 +797,23 @@ fn fleet_builder() -> SocBuilder {
         .sensor_thread(false)
 }
 
-/// Fault-free reference run of an external guest (fleet `--program`).
-fn program_reference(program: &Program) -> ScenarioRun {
-    let cfg = fleet_builder().build();
-    let mut soc = Soc::<Tainted>::new(cfg);
-    soc.load_program(program);
-    let exit = soc.run(100_000_000);
-    snapshot(exit, &soc, Vec::new())
-}
-
-/// One faulted replay of an external guest under a fleet job's stop flag
-/// and live instruction counter.
-fn program_faulted(
+/// One run of an external guest (fleet `--program`): the fault-free
+/// reference without `ctx`, or a faulted replay under a fleet job's stop
+/// flag and live instruction counter.
+fn program_run(
     program: &Program,
     plan: &[PlannedFault],
     budget: u64,
-    ctx: &taintvp::fleet::JobCtx,
+    ctx: Option<&taintvp::fleet::JobCtx>,
 ) -> ScenarioRun {
-    let cfg = fleet_builder().stop_flag(ctx.stop.clone()).insn_cell(ctx.insns.clone()).build();
-    let mut soc = Soc::<Tainted>::new(cfg);
+    let mut builder = fleet_builder();
+    if let Some(ctx) = ctx {
+        builder = builder.stop_flag(ctx.stop.clone()).insn_cell(ctx.insns.clone());
+    }
+    let mut soc = Soc::<Tainted>::new(builder.build());
     soc.load_program(program);
     let (exit, records) = run_with_faults(&mut soc, budget, plan);
-    snapshot(exit, &soc, records)
+    observe(&soc, exit, 0, records)
 }
 
 /// `taintvp-run fleet` — N seeded fault runs on the work-stealing
@@ -919,13 +829,12 @@ fn fleet_main(args: &[String]) -> ExitCode {
     use std::time::Duration;
 
     use taintvp::faults::campaign::{faulted_run, reference_run};
-    use taintvp::faults::{classify, generate_plan, scenario_json, Outcome, ScenarioKind};
+    use taintvp::faults::{push_rows, scenario_json, ScenarioKind, ScenarioOutcome};
+    use taintvp::fleet::campaign::runs_rows;
     use taintvp::fleet::{
-        quiet_worker_panics, spawn_sampler, Fleet, FleetConfig, Job, JobError, JobOutput,
-        JobStatus, Journal, JournalHeader, SamplerConfig, TelemetryHub,
+        content_hash, quiet_worker_panics, Fleet, FleetConfig, Job, JobCtx, JobError, JobOutput,
+        JobStatus, JournalHeader,
     };
-    use taintvp::kernel::SimTime;
-    use taintvp::obs::MetricsServer;
 
     let opts = match parse_fleet_args(args) {
         Ok(o) => o,
@@ -955,7 +864,7 @@ fn fleet_main(args: &[String]) -> ExitCode {
     // Driver-side prelude: the fault-free reference every job classifies
     // against (exactly once, like the campaign runner).
     let reference = Arc::new(match &guest {
-        Some(p) => program_reference(p),
+        Some(p) => program_run(p, &[], 100_000_000, None),
         None => reference_run(kind),
     });
     eprintln!(
@@ -964,15 +873,16 @@ fn fleet_main(args: &[String]) -> ExitCode {
         reference.steps
     );
 
-    let jobs: Vec<Job> = (0..u64::from(opts.jobs))
+    let jobs: Vec<Job> = (0..opts.jobs)
         .map(|i| {
-            if opts.inject_panic.contains(&i) {
-                return Job::new(i, move |_ctx| -> Result<JobOutput, JobError> {
+            let id = u64::from(i);
+            if opts.inject_panic.contains(&id) {
+                return Job::new(id, move |_ctx| -> Result<JobOutput, JobError> {
                     panic!("injected panic in job {i}");
                 });
             }
-            if opts.inject_hang.contains(&i) {
-                return Job::new(i, move |ctx: &taintvp::fleet::JobCtx| {
+            if opts.inject_hang.contains(&id) {
+                return Job::new(id, move |ctx: &JobCtx| {
                     // A guest wedged in a tight loop with an effectively
                     // unlimited budget: only the deadline reaper raising
                     // `ctx.stop` ends this attempt.
@@ -990,22 +900,18 @@ fn fleet_main(args: &[String]) -> ExitCode {
             }
             let reference = Arc::clone(&reference);
             let guest = guest.clone();
-            let master = opts.seed;
-            let rate = opts.rate;
-            Job::new(i, move |ctx: &taintvp::fleet::JobCtx| {
-                let seed = master.wrapping_add((i + 1).wrapping_mul(0x9E37_79B9_7F4A_7C15));
-                let count = ((reference.steps as f64 * rate).ceil() as u32).clamp(1, 32);
-                let plan = generate_plan(seed, count, reference.steps.max(1), RAM_FAULT_WINDOW);
-                let budget = reference.steps * 4 + 10_000;
-                let watchdog = (reference.sim_time * 4).saturating_add(SimTime::from_ms(1));
+            let (master, rate) = (opts.seed, opts.rate);
+            Job::new(id, move |ctx: &JobCtx| {
+                let seed = run_seed(master, i);
+                let replay = Replay::new(&reference, seed, rate);
                 let run = match &guest {
-                    Some(p) => program_faulted(p, &plan, budget, ctx),
-                    None => faulted_run(kind, &plan, Some(watchdog), budget),
+                    Some(p) => program_run(p, &replay.plan, replay.budget, Some(ctx)),
+                    None => faulted_run(kind, &replay.plan, Some(replay.watchdog), replay.budget),
                 };
                 let outcome = classify(&reference, &run);
                 let mut counts = vec![0u64; Outcome::COUNT];
                 counts[outcome.index()] = 1;
-                let row = taintvp::faults::ScenarioOutcome {
+                let row = ScenarioOutcome {
                     scenario: scenario_name,
                     exit: run.exit.label(),
                     outcome,
@@ -1020,106 +926,59 @@ fn fleet_main(args: &[String]) -> ExitCode {
         })
         .collect();
 
-    let header = JournalHeader { suite: suite.into(), jobs: u64::from(opts.jobs), seed: opts.seed };
-    let journal_path = opts.journal.as_ref().map(std::path::Path::new);
-    let (mut journal, recovered) = match (journal_path, opts.resume) {
-        (Some(path), true) => match Journal::open_resume(path, &header) {
-            Ok((j, recovered)) => (Some(j), recovered),
-            Err(e) => {
-                eprintln!("error: cannot resume journal: {e}");
-                return ExitCode::from(1);
-            }
-        },
-        (Some(path), false) => match Journal::create(path, &header) {
-            Ok(j) => (Some(j), Vec::new()),
-            Err(e) => {
-                eprintln!("error: cannot create journal: {e}");
-                return ExitCode::from(1);
-            }
-        },
-        (None, _) => (None, Vec::new()),
+    // The program image is part of a program sweep's identity: a journal
+    // of one guest must not resume another.
+    let image = guest.as_deref().map(|p| {
+        content_hash(&[&p.base().to_le_bytes()[..], &p.entry().to_le_bytes(), p.image()].concat())
+    });
+    let header = JournalHeader {
+        suite: suite.into(),
+        jobs: u64::from(opts.jobs),
+        seed: opts.seed,
+        rate: opts.rate,
+        image,
     };
-    if !recovered.is_empty() {
-        eprintln!("fleet: resumed {} completed job(s) from journal", recovered.len());
-    }
-
     // Telemetry is opt-in: without any consumer flag no hub exists and
     // the executor's per-job telemetry guard is a null-pointer check.
-    let hub = opts.telemetry_on().then(|| TelemetryHub::new(opts.workers));
-    if let Some(h) = &hub {
-        h.add_resumed(recovered.len() as u64);
-    }
-    let metrics_server = match (&opts.metrics_addr, &hub) {
-        (Some(addr), Some(h)) => {
-            let render_hub = Arc::clone(h);
-            // Fleet series plus the `obs::metrics` registry (under the
-            // `vp_` prefix) — the fleet aggregates one registry counter
-            // live, retired instructions, same as `--metrics-json`.
-            let render = Arc::new(move || {
-                let mut expo = taintvp::obs::Expo::new();
-                let snap = render_hub.snapshot();
-                snap.render_prom(&mut expo);
-                let registry =
-                    taintvp::obs::Metrics { instructions: snap.insns, ..Default::default() };
-                taintvp::obs::expo::render_metrics(&mut expo, "vp", &[], &registry);
-                expo.finish()
-            });
-            match MetricsServer::bind(addr, render) {
-                Ok(server) => {
-                    eprintln!("fleet: metrics endpoint on http://{}/metrics", server.local_addr());
-                    Some(server)
-                }
-                Err(e) => {
-                    eprintln!("error: {e}");
-                    return ExitCode::from(1);
-                }
-            }
+    let mut telemetry = match opts.run.start("fleet", opts.metrics_json.is_some()) {
+        Ok(t) => t,
+        Err(e) => {
+            eprintln!("error: {e}");
+            return ExitCode::from(1);
         }
-        _ => None,
     };
-    let sampler = match &hub {
-        Some(h) => {
-            let config = SamplerConfig {
-                interval: Duration::from_millis(opts.telemetry_interval_ms),
-                out: opts.telemetry_out.as_ref().map(std::path::PathBuf::from),
-                progress: true,
-            };
-            match spawn_sampler(Arc::clone(h), config) {
-                Ok(s) => Some(s),
-                Err(e) => {
-                    eprintln!("error: cannot start telemetry sampler: {e}");
-                    return ExitCode::from(1);
-                }
-            }
-        }
-        None => None,
-    };
-
-    let skip: Vec<u64> = recovered.iter().map(|r| r.job_id).collect();
-    let fleet_config = FleetConfig {
-        workers: opts.workers,
+    let fleet = Fleet::new(FleetConfig {
+        workers: opts.run.workers,
         deadline: (opts.deadline_ms > 0).then(|| Duration::from_millis(opts.deadline_ms)),
-        telemetry: hub.clone(),
+        telemetry: telemetry.hub().cloned(),
         ..FleetConfig::default()
-    };
-    let fresh = Fleet::new(fleet_config).run(jobs, journal.as_mut(), &skip);
-    if let Some(s) = sampler {
-        // The run marked the hub done; the sampler emits its final
-        // snapshot and exits. A stream-write failure is diagnostic only.
-        if let Err(e) = s.finish() {
-            eprintln!("fleet: warning: telemetry stream write failed: {e}");
+    });
+    let journal = opts.run.journal.as_deref();
+    let (results, resumed) = match fleet.run_journaled(jobs, journal, opts.run.resume, &header) {
+        Ok(run) => run,
+        Err(e) => {
+            eprintln!("error: cannot open journal: {e}");
+            return ExitCode::from(1);
         }
+    };
+    telemetry.run_finished();
+    if resumed > 0 {
+        eprintln!("fleet: resumed {resumed} completed job(s) from journal");
     }
-
-    let mut results = recovered;
-    results.extend(fresh);
-    results.sort_by_key(|r| r.job_id);
 
     // Deterministic aggregate: one row per job in id order, failures as
     // explicit rows — byte-identical for any worker count.
     use std::fmt::Write as _;
     let mut summary = [0u64; Outcome::COUNT];
+    let (rows, failures) = runs_rows(&results, "job", &mut summary);
     let mut failed = [0u64; 3]; // crashed, hang, error
+    for r in &failures {
+        match r.status {
+            JobStatus::Crashed => failed[0] += 1,
+            JobStatus::Hang => failed[1] += 1,
+            _ => failed[2] += 1,
+        }
+    }
     let mut out = String::new();
     out.push_str("{\n");
     let _ = writeln!(
@@ -1133,34 +992,7 @@ fn fleet_main(args: &[String]) -> ExitCode {
         reference.exit.label(),
         reference.steps
     );
-    out.push_str("  \"runs\": [\n");
-    for (n, r) in results.iter().enumerate() {
-        let comma = if n + 1 < results.len() { "," } else { "" };
-        match (&r.status, &r.payload) {
-            (JobStatus::Ok, Some(payload)) => {
-                for (slot, c) in r.counts.iter().enumerate() {
-                    if let Some(cell) = summary.get_mut(slot) {
-                        *cell += c;
-                    }
-                }
-                let _ = writeln!(out, "    {payload}{comma}");
-            }
-            _ => {
-                match r.status {
-                    JobStatus::Crashed => failed[0] += 1,
-                    JobStatus::Hang => failed[1] += 1,
-                    _ => failed[2] += 1,
-                }
-                let _ = writeln!(
-                    out,
-                    "    {{\"job\":{},\"failed\":\"{}\"}}{comma}",
-                    r.job_id,
-                    r.status.label()
-                );
-            }
-        }
-    }
-    out.push_str("  ],\n");
+    push_rows(&mut out, "runs", &rows);
     let mut cells: Vec<String> =
         Outcome::ALL.iter().map(|o| format!("\"{}\": {}", o.label(), summary[o.index()])).collect();
     for (label, n) in [("crashed", failed[0]), ("hang", failed[1]), ("error", failed[2])] {
@@ -1182,7 +1014,7 @@ fn fleet_main(args: &[String]) -> ExitCode {
 
     // `taintvp-metrics/v1` with the fleet extension: outcome-class
     // counts plus the per-worker telemetry snapshot (timing-free).
-    if let (Some(path), Some(h)) = (&opts.metrics_json, &hub) {
+    if let (Some(path), Some(h)) = (&opts.metrics_json, telemetry.hub()) {
         let snap = h.snapshot();
         let mut outcome_cells: Vec<String> = Outcome::ALL
             .iter()
@@ -1215,15 +1047,13 @@ fn fleet_main(args: &[String]) -> ExitCode {
         }
         eprintln!("fleet: metrics JSON written to {path}");
     }
-    for r in &results {
-        if r.status != JobStatus::Ok {
-            eprintln!(
-                "fleet: job {} did not complete: {}{}",
-                r.job_id,
-                r.status.label(),
-                r.detail.as_deref().map(|d| format!(" ({d})")).unwrap_or_default()
-            );
-        }
+    for r in &failures {
+        eprintln!(
+            "fleet: job {} did not complete: {}{}",
+            r.job_id,
+            r.status.label(),
+            r.detail.as_deref().map(|d| format!(" ({d})")).unwrap_or_default()
+        );
     }
     eprintln!(
         "fleet: {} job(s), {} completed, {} crashed, {} hung, {} errored",
@@ -1249,18 +1079,9 @@ fn fleet_main(args: &[String]) -> ExitCode {
         }
         ExitCode::SUCCESS
     };
-    if let Some(server) = metrics_server {
-        // Keep the endpoint up for post-run scrapes (CI asserts final
-        // counters against the journal) before tearing it down.
-        if opts.metrics_linger_ms > 0 {
-            eprintln!(
-                "fleet: metrics endpoint lingering {}ms for final scrapes",
-                opts.metrics_linger_ms
-            );
-            std::thread::sleep(Duration::from_millis(opts.metrics_linger_ms));
-        }
-        server.shutdown();
-    }
+    // Post-run scrapes (CI asserts final counters against the journal)
+    // see the endpoint until after the report is written.
+    telemetry.close();
     exit
 }
 
